@@ -60,7 +60,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: rows (cross-replication stacked evaluation, single ``stacked`` engine
 #: per row) likewise carry no reference canary and gate absolute-only;
 #: their wall is per stacked tournament, amortized over the whole R x T
-#: mega-slate, so a kernel-backend swap shows up here first.
+#: mega-slate, so a kernel change shows up here first.
 GATED_ORACLES = (
     "random",
     "topology",

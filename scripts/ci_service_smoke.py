@@ -1,9 +1,7 @@
 #!/usr/bin/env python
 """CI serving-layer gate: boot ``repro serve``, drive one job end to end.
 
-The sequence, all through the real HTTP surface (whichever backend the
-container has — the script works against both the FastAPI skin and the
-dependency-free stdlib fallback):
+The sequence, all through the real HTTP surface:
 
 1. start ``python -m repro serve`` on an ephemeral port and poll
    ``/healthz`` until it answers;
@@ -77,12 +75,6 @@ def main() -> int:
         default=REPO_ROOT / "scenarios" / "fig4_smoke.yaml",
         help="scenario file to submit (default scenarios/fig4_smoke.yaml)",
     )
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "fastapi", "stdlib"),
-        help="which repro serve backend to boot (default auto)",
-    )
     parser.add_argument("--timeout", type=float, default=300.0)
     args = parser.parse_args()
     if not args.scenario.exists():
@@ -109,8 +101,6 @@ def main() -> int:
         str(port),
         "--root",
         str(workdir / "store"),
-        "--backend",
-        args.backend,
         "--scenarios",
         str(args.scenario.parent),
     ]

@@ -43,14 +43,9 @@ class ExperimentConfig:
     generations: int = 60
     replications: int = 4
     seed: int = 2007  # the paper's publication year, for flavour
-    engine: str = "fast"
-    #: compute-kernel backend for engines that support pluggable kernels
-    #: (turbo/fused/stacked): "numpy" is the always-available bit-pinned
-    #: reference, "numba" the optional compiled backend (``.[kernels]``
-    #: extra, statistical-equivalence contract), "auto" picks numba when
-    #: installed.  Pin "numpy" when cross-machine bit-reproducibility
-    #: matters — "auto" resolves per machine.
-    kernel: str = "auto"
+    #: the default engine for every front door (CLI, reproduction session,
+    #: scenarios, service); the fastest of the bit-identical engines
+    engine: str = "batch"
     ga: GAConfig = field(default_factory=GAConfig)
     sim: SimulationConfig = field(default_factory=SimulationConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -65,20 +60,6 @@ class ExperimentConfig:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {sorted(ENGINES)}, got {self.engine!r}"
-            )
-        from repro.sim.kernels import KERNEL_NAMES
-
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"kernel must be one of {sorted(KERNEL_NAMES)},"
-                f" got {self.kernel!r}"
-            )
-        if self.kernel == "numba" and not getattr(
-            ENGINES[self.engine], "supports_kernel_backends", False
-        ):
-            raise ValueError(
-                f"engine {self.engine!r} does not support kernel backends;"
-                " kernel='numba' requires engine 'turbo' or 'fused'"
             )
         if self.sim.path_mode != self.case.path_mode:
             # keep sim in line with the case definition
@@ -181,7 +162,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "seed": self.seed,
             "engine": self.engine,
-            "kernel": self.kernel,
             "ga": self.ga.to_dict(),
             "sim": self.sim.to_dict(),
             "telemetry": self.telemetry.to_dict(),

@@ -42,8 +42,7 @@ class ReproductionSession:
         self,
         scale: str = "default",
         seed: int = 2007,
-        engine: str = "fast",
-        kernel: str | None = None,
+        engine: str = ExperimentConfig.engine,
         processes: int | None = None,
         cache_dir: str | Path | None = None,
         verbose: bool = False,
@@ -60,9 +59,6 @@ class ReproductionSession:
         self.scale = scale
         self.seed = seed
         self.engine = engine
-        # kernel backend for turbo/fused engines (None keeps the config
-        # default, "auto")
-        self.kernel = kernel
         self.processes = processes
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.verbose = verbose
@@ -103,7 +99,6 @@ class ReproductionSession:
             overrides={
                 "seed": self.seed,
                 "engine": self.engine,
-                "kernel": self.kernel,
                 "route_cache": self.route_cache,
                 "drift_budget": self.drift_budget,
                 "telemetry": True if self.telemetry else None,
@@ -121,10 +116,6 @@ class ReproductionSession:
             # served a cached budget-240 result (or vice versa)
             budget = "" if self.drift_budget is None else f"{self.drift_budget}"
             suffix = f"_{self.route_cache}{budget}"
-        if self.kernel not in (None, "auto", "numpy"):
-            # a compiled-kernel run is only statistically equivalent — never
-            # serve it from (or into) the reference-kernel cache slot
-            suffix += f"_{self.kernel}"
         return (
             self.cache_dir
             / f"{case_name}_{self.scale}_seed{self.seed}{suffix}.json"

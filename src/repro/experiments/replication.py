@@ -176,7 +176,6 @@ def _run_replication(
         trust_table=trust_table,
         activity=activity,
         payoffs=sim.payoffs,
-        kernel=config.kernel,
     )
     ga = GeneticAlgorithm(config.ga)
     # the fused engine pairs with the phase-vectorized GA step — same
@@ -379,7 +378,6 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
         trust_table=TrustTable(bounds=sim.trust_bounds),
         activity=ActivityClassifier(band=sim.activity_band),
         payoffs=sim.payoffs,
-        kernel=config.kernel,
         n_replications=n_rep,
     )
     ga = GeneticAlgorithm(config.ga)

@@ -82,7 +82,7 @@ def resolve_scenario(payload: Mapping[str, Any]) -> ResolvedScenario:
     run = payload["run"]
 
     config_overrides: dict[str, Any] = {}
-    for key in ("seed", "engine", "kernel", "generations", "replications"):
+    for key in ("seed", "engine", "generations", "replications"):
         if key in overrides:
             config_overrides[key] = overrides[key]
     try:

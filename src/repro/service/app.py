@@ -1,18 +1,10 @@
-"""HTTP skins over :class:`~repro.service.endpoints.Service`.
+"""The HTTP skin over :class:`~repro.service.endpoints.Service`.
 
-Two interchangeable backends serve the same endpoints:
-
-* **fastapi** — ``create_app`` builds a FastAPI application with OpenAPI
-  docs at ``/docs``; requires the ``service`` extra (``pip install
-  .[service]``) and is what CI's service job exercises.
-* **stdlib** — ``build_httpd`` wraps the service in a
-  ``http.server.ThreadingHTTPServer`` with zero dependencies, so
-  ``repro serve`` works in any environment the simulator itself runs in.
-
-``repro serve`` picks fastapi when importable and falls back to stdlib
-(``--backend`` pins one explicitly).  Neither backend holds state: jobs,
-results, and manifests live in the runner's content-addressed store, so a
-restarted server recovers mid-flight jobs via checkpoints.
+``build_httpd`` wraps the service in a ``http.server.ThreadingHTTPServer``
+with zero dependencies, so ``repro serve`` works in any environment the
+simulator itself runs in.  The server holds no state: jobs, results, and
+manifests live in the runner's content-addressed store, so a restarted
+server recovers mid-flight jobs via checkpoints.
 """
 
 from __future__ import annotations
@@ -21,97 +13,14 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro._version import __version__
 from repro.service.endpoints import Service
 from repro.service.runner import JobRunner
 
-__all__ = [
-    "fastapi_available",
-    "create_app",
-    "build_httpd",
-    "build_service",
-    "run_service",
-]
-
-
-def fastapi_available() -> bool:
-    """Whether the fastapi backend can be imported in this environment."""
-    try:
-        import fastapi  # noqa: F401
-        import uvicorn  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def create_app(service: Service):
-    """The FastAPI application for a service (requires the service extra)."""
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse, StreamingResponse
-    except ImportError as exc:  # pragma: no cover - exercised without extra
-        raise RuntimeError(
-            "fastapi is not installed; install the service extra"
-            " (pip install '.[service]') or use --backend stdlib"
-        ) from exc
-
-    app = FastAPI(
-        title="repro simulation service",
-        version=__version__,
-        description=(
-            "Submit declarative scenarios against the IPPS 2007 ad-hoc"
-            " network reproduction. Jobs are content-addressed by the"
-            " telemetry-excluded config hash: identical submissions dedupe"
-            " into one run."
-        ),
-    )
-
-    def _json(response: tuple[int, dict]) -> JSONResponse:
-        status, payload = response
-        return JSONResponse(payload, status_code=status)
-
-    @app.get("/healthz")
-    def healthz() -> JSONResponse:
-        return _json(service.healthz())
-
-    @app.get("/scenarios")
-    def scenarios() -> JSONResponse:
-        return _json(service.list_scenarios())
-
-    @app.get("/jobs")
-    def jobs() -> JSONResponse:
-        return _json(service.list_jobs())
-
-    @app.post("/jobs")
-    async def submit(request: Request) -> JSONResponse:
-        try:
-            body = await request.json()
-        except Exception:
-            return JSONResponse(
-                {"error": "submission body must be valid JSON"}, status_code=400
-            )
-        return _json(service.submit(body))
-
-    @app.get("/jobs/{job_id}")
-    def status(job_id: str) -> JSONResponse:
-        return _json(service.status(job_id))
-
-    @app.get("/jobs/{job_id}/result")
-    def result(job_id: str) -> JSONResponse:
-        return _json(service.result(job_id))
-
-    @app.get("/jobs/{job_id}/stream")
-    def stream(job_id: str) -> StreamingResponse:
-        lines = (
-            json.dumps(snapshot) + "\n" for snapshot in service.stream(job_id)
-        )
-        return StreamingResponse(lines, media_type="application/x-ndjson")
-
-    return app
+__all__ = ["build_httpd", "build_service", "run_service"]
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """Dependency-free request handler over a :class:`Service`."""
+    """Request handler over a :class:`Service`."""
 
     service: Service  # bound by build_httpd
 
@@ -194,27 +103,15 @@ def run_service(
     root: str | Path,
     host: str = "127.0.0.1",
     port: int = 8000,
-    backend: str = "auto",
     scenarios_dir: str | Path | None = None,
 ) -> None:
     """Serve until interrupted (the blocking core of ``repro serve``)."""
-    if backend not in ("auto", "fastapi", "stdlib"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "auto":
-        backend = "fastapi" if fastapi_available() else "stdlib"
     service = build_service(root, scenarios_dir=scenarios_dir)
     try:
-        if backend == "fastapi":
-            import uvicorn
-
-            uvicorn.run(
-                create_app(service), host=host, port=port, log_level="warning"
-            )
-        else:
-            httpd = build_httpd(service, host=host, port=port)
-            try:
-                httpd.serve_forever()
-            finally:
-                httpd.server_close()
+        httpd = build_httpd(service, host=host, port=port)
+        try:
+            httpd.serve_forever()
+        finally:
+            httpd.server_close()
     finally:
         service.runner.stop()

@@ -8,7 +8,8 @@ Five interchangeable implementations of the tournament semantics:
 * :class:`repro.sim.fast.FastEngine` — flat-array hot loop for large
   reproduction sweeps;
 * :class:`repro.sim.batch.BatchEngine` — struct-of-arrays numpy state with
-  batched tournament-schedule drawing, the fastest *bit-identical* engine;
+  batched tournament-schedule drawing, the fastest *bit-identical* engine
+  and the default (``ExperimentConfig.engine``);
 * :class:`repro.sim.turbo.TurboEngine` — speculative round-vectorized engine
   under a **statistical** (distributional) equivalence contract: vectorized
   tournament draws and per-round game slates with conflict replay, validated
@@ -70,17 +71,9 @@ def make_engine(
     trust_table=None,
     activity=None,
     payoffs=None,
-    kernel: str = "auto",
 ):
     """Factory: build an engine by name (``"reference"``, ``"fast"``,
-    ``"batch"``, ``"turbo"`` or ``"fused"``).
-
-    ``kernel`` selects the compute backend for engines that route their hot
-    ops through :mod:`repro.sim.kernels` (``supports_kernel_backends``).
-    Engines with a fixed implementation ignore ``"auto"``/``"numpy"``
-    (their native code *is* the numpy reference) but reject an explicit
-    ``"numba"`` request they cannot honour.
-    """
+    ``"batch"``, ``"turbo"`` or ``"fused"``)."""
     from repro.core.payoff import PayoffConfig
     from repro.reputation.activity import ActivityClassifier
     from repro.reputation.trust import TrustTable
@@ -92,15 +85,5 @@ def make_engine(
     if cls is None:
         raise ValueError(
             f"unknown engine {name!r} (expected one of {sorted(ENGINES)})"
-        )
-    if getattr(cls, "supports_kernel_backends", False):
-        return cls(
-            n_population, max_selfish, trust_table, activity, payoffs,
-            kernel=kernel,
-        )
-    if kernel == "numba":
-        raise ValueError(
-            f"engine {name!r} does not support kernel backends;"
-            " --kernel numba requires --engine turbo or fused"
         )
     return cls(n_population, max_selfish, trust_table, activity, payoffs)

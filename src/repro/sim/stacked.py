@@ -126,7 +126,6 @@ class StackedFusedEngine(FusedEngine):
         trust_table=None,
         activity=None,
         payoffs=None,
-        kernel: str = "auto",
         n_replications: int = 1,
     ):
         if n_replications < 1:
@@ -138,9 +137,7 @@ class StackedFusedEngine(FusedEngine):
         self.n_replications = n_replications
         self.block = n_population + max_selfish
         self._strategy_tensor: np.ndarray | None = None
-        super().__init__(
-            n_population, max_selfish, trust_table, activity, payoffs, kernel
-        )
+        super().__init__(n_population, max_selfish, trust_table, activity, payoffs)
 
     # -- stacking hooks -------------------------------------------------------
 

@@ -80,7 +80,8 @@ from repro.paths.vector import GamePlanArrays, plan_tournament_arrays
 from repro.reputation.activity import ActivityClassifier
 from repro.reputation.exchange import ExchangeConfig, exchange_reputation_flat
 from repro.reputation.trust import TrustTable
-from repro.sim.kernels import KernelState, TimedKernel, resolve_kernel
+from repro.sim.kernels import KernelState, TimedKernel
+from repro.sim.kernels.numpy_backend import NumpyKernel
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["TurboEngine"]
@@ -210,9 +211,6 @@ class TurboEngine:
     semantics (statistical-equivalence contract)."""
 
     name = "turbo"
-    #: the engine routes its hot ops through the pluggable kernel interface
-    #: (``repro.sim.kernels``) and accepts a ``kernel=`` selector
-    supports_kernel_backends = True
 
     def __init__(
         self,
@@ -221,7 +219,6 @@ class TurboEngine:
         trust_table: TrustTable | None = None,
         activity: ActivityClassifier | None = None,
         payoffs: PayoffConfig | None = None,
-        kernel: str = "auto",
     ):
         if n_population < 1:
             raise ValueError(f"population must be >= 1, got {n_population}")
@@ -235,8 +232,7 @@ class TurboEngine:
         if self.trust_table.n_levels != 4:
             raise ValueError("TurboEngine is specialised to 4 trust levels")
         self.m = self._matrix_order()
-        self.kernel_name = kernel
-        self._kernel = resolve_kernel(kernel)
+        self._kernel = NumpyKernel()
         self._k = self._kernel
         self._csn_lookup = self._build_csn_lookup()
         self._bounds = np.asarray(self.trust_table.bounds, dtype=np.float64)

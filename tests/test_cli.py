@@ -46,7 +46,7 @@ class TestParser:
         args = build_parser().parse_args(["reproduce", "fig4"])
         assert args.artefact == "fig4"
         assert args.scale == "default"
-        assert args.engine == "fast"
+        assert args.engine == "batch"
 
     def test_run_case_options(self):
         args = build_parser().parse_args(
@@ -55,6 +55,46 @@ class TestParser:
         assert args.case == "case3"
         assert args.generations == 5
         assert args.rounds == 9
+
+
+class TestRemovedKnobs:
+    """The deleted kernel and HTTP-backend selectors fail loudly."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-case", "case1", "--scale", "smoke"],
+            ["reproduce", "fig4", "--scale", "smoke"],
+            ["run", "scenarios/fig4_smoke.yaml"],
+        ],
+        ids=["run-case", "reproduce", "run"],
+    )
+    def test_kernel_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kernel", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+    def test_serve_rejects_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--backend", "stdlib"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_validate_scenarios_rejects_kernel_override(self, capsys, tmp_path):
+        scenario = {
+            "scenario_version": 1,
+            "name": "kernel_knob",
+            "description": "",
+            "case": "case1",
+            "scale": "smoke",
+            "overrides": {"kernel": "numpy"},
+            "run": {},
+        }
+        path = tmp_path / "kernel_knob.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["validate-scenarios", str(path)]) == 1
+        assert "unknown override keys ['kernel']" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import ARTEFACTS, ReproductionSession
 
 
@@ -44,6 +45,11 @@ class TestReproductionSession:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             ReproductionSession(scale="galactic")
+
+    def test_default_engine_is_the_config_default(self):
+        session = ReproductionSession(scale="smoke")
+        assert session.config_for("case1").engine == ExperimentConfig.engine
+        assert ExperimentConfig.engine == "batch"
 
     def test_unknown_artefact_rejected(self):
         session = ReproductionSession(scale="smoke")

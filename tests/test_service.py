@@ -260,6 +260,12 @@ class TestJobRunnerLifecycle:
             runner.submit({"case": "case1"})
         assert runner.store.list_records() == []
 
+    def test_kernel_override_is_rejected(self, tmp_path):
+        runner = JobRunner(tmp_path)
+        with pytest.raises(ValueError, match="kernel"):
+            runner.submit(smoke_payload(kernel="numpy"))
+        assert runner.store.list_records() == []
+
     def test_failed_job_records_error_and_requeues(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 

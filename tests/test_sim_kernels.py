@@ -1,21 +1,17 @@
-"""Kernel backend contract (:mod:`repro.sim.kernels`).
+"""Kernel contract (:mod:`repro.sim.kernels`).
 
 Three layers of pinning:
 
-* **Selection** — ``resolve_kernel`` policy (``auto`` prefers the compiled
-  backend, explicit ``numba`` fails fast with the install hint), config and
-  factory validation, the ``TimedKernel`` telemetry wrapper.
-* **Bit-identity of the numpy backend** — the kernel refactor moved the
+* **Wiring** — the kernel-routed engines hold a
+  :class:`~repro.sim.kernels.numpy_backend.NumpyKernel`, no ``kernel``
+  knob survives on the config or the factory, and the ``TimedKernel``
+  telemetry wrapper times every op.
+* **Bit-identity of the numpy kernel** — the kernel refactor moved the
   engines' inline hot loops behind the op interface; the pinned digests
   below were recorded on the pre-kernel scalar code, so any drift in the
-  reference backend is a test failure, not a re-pin.
-* **Cross-backend parity** — every test that exercises op semantics is
-  parametrized over the installed backends.  When numba is absent (the
-  default container; the ``.[kernels]`` extra is optional) its parameter
-  *skips visibly* rather than silently narrowing the suite; the compiled
-  backend itself is held to the statistical-equivalence tier
-  (``compare_samples``), not bit-identity — float reductions may associate
-  differently under fusion.
+  kernel is a test failure, not a re-pin.
+* **Op semantics** — the conflict walk's vectorization is pinned directly
+  against the obvious ``np.minimum.at`` semantics.
 """
 
 from __future__ import annotations
@@ -29,26 +25,9 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replication
 from repro.sim import make_engine
-from repro.sim.kernels import (
-    KERNEL_NAMES,
-    TimedKernel,
-    available_backends,
-    numba_available,
-    resolve_kernel,
-)
+from repro.sim.kernels import TimedKernel
 from repro.sim.kernels.numpy_backend import NumpyKernel
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(),
-    reason="numba not installed (optional .[kernels] extra) — compiled"
-    " backend untested on this machine",
-)
-
-#: Both backends when installed; the numba parameter skips *visibly*.
-BACKENDS = [
-    "numpy",
-    pytest.param("numba", marks=needs_numba),
-]
+from repro.sim.stacked import StackedFusedEngine
 
 
 def replication_digest(config: ExperimentConfig, replication: int = 0) -> str:
@@ -58,65 +37,25 @@ def replication_digest(config: ExperimentConfig, replication: int = 0) -> str:
 
 
 class TestSelection:
-    def test_kernel_names(self):
-        assert KERNEL_NAMES == ("auto", "numpy", "numba")
-
-    def test_available_backends(self):
-        avail = available_backends()
-        assert avail["numpy"] is True
-        assert set(avail) == {"numpy", "numba"}
-
     def test_numpy_always_resolves(self):
-        kernel = resolve_kernel("numpy")
-        assert kernel.name == "numpy"
-        assert kernel.compiled is False
+        engine = StackedFusedEngine(10, 2, n_replications=2)
+        assert type(engine._kernel) is NumpyKernel
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_kernel("fortran")
+    def test_config_has_no_kernel_knob(self):
+        with pytest.raises(TypeError, match="kernel"):
+            ExperimentConfig.for_case("case1", scale="smoke", kernel="numpy")
 
-    def test_auto_prefers_compiled_when_available(self):
-        kernel = resolve_kernel("auto")
-        if numba_available():
-            assert kernel.name == "numba"
-            assert kernel.compiled is True
-        else:
-            assert kernel.name == "numpy"
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; the fail-fast path is moot"
-    )
-    def test_explicit_numba_fails_fast_with_install_hint(self):
-        with pytest.raises(RuntimeError, match=r"\.\[kernels\]"):
-            resolve_kernel("numba")
-
-    def test_config_validates_kernel_name(self):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            ExperimentConfig.for_case("case1", scale="smoke", kernel="fortran")
-
-    def test_config_rejects_numba_on_non_kernel_engine(self):
-        with pytest.raises(ValueError, match="does not support kernel"):
-            ExperimentConfig.for_case(
-                "case1", scale="smoke", engine="batch", kernel="numba"
-            )
-
-    def test_factory_rejects_numba_on_non_kernel_engine(self):
-        with pytest.raises(ValueError, match="does not support kernel"):
-            make_engine("batch", 10, 2, kernel="numba")
+    def test_factory_has_no_kernel_knob(self):
+        with pytest.raises(TypeError, match="kernel"):
+            make_engine("turbo", 10, 2, kernel="numpy")
 
     def test_factory_threads_kernel_to_capable_engines(self):
         for name in ("turbo", "fused"):
-            engine = make_engine(name, 10, 2, kernel="numpy")
-            assert engine.supports_kernel_backends
-            assert engine.kernel_name == "numpy"
-            assert engine._kernel.name == "numpy"
+            assert type(make_engine(name, 10, 2)._kernel) is NumpyKernel
 
     def test_non_kernel_engines_tolerate_the_defaults(self):
-        # "auto"/"numpy" mean "the reference semantics", which fixed
-        # engines natively implement — only an explicit numba is an error
-        for kernel in ("auto", "numpy"):
-            engine = make_engine("batch", 10, 2, kernel=kernel)
-            assert not getattr(engine, "supports_kernel_backends", False)
+        for name in ("reference", "fast", "batch"):
+            assert not hasattr(make_engine(name, 10, 2), "_kernel")
 
 
 class TestTimedKernel:
@@ -125,8 +64,6 @@ class TestTimedKernel:
 
         registry = MetricsRegistry()
         timed = TimedKernel(NumpyKernel(), registry)
-        assert timed.name == "numpy"
-        assert timed.compiled is False
         buf = np.full(7, 99, dtype=np.int64)
         # contract: pos ascending (game order), so the first writer wins
         codes = np.array([2, 2, 5], dtype=np.int64)
@@ -142,13 +79,11 @@ class TestTimedKernel:
 class TestFirstWriterParity:
     """The conflict walk is the one op with a non-obvious vectorization
     (reversed scatter-assign standing in for ``minimum.at`` on ascending
-    positions) — pin it directly against the obvious semantics on both
-    backends."""
+    positions) — pin it directly against the obvious semantics."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 7, 991])
-    def test_matches_minimum_at(self, backend, seed):
-        kernel = resolve_kernel(backend)
+    def test_matches_minimum_at(self, seed):
+        kernel = NumpyKernel()
         rng = np.random.default_rng(seed)
         n_codes, n_events = 50, 200
         codes = rng.integers(0, n_codes, size=n_events).astype(np.int64)
@@ -161,7 +96,7 @@ class TestFirstWriterParity:
 
 
 class TestNumpyBitIdentity:
-    """The numpy backend IS the pre-kernel engine code: digests recorded on
+    """The numpy kernel IS the pre-kernel engine code: digests recorded on
     the inline implementation before the refactor must keep verifying."""
 
     PINNED = [
@@ -178,36 +113,10 @@ class TestNumpyBitIdentity:
     @pytest.mark.parametrize("engine,case,seed,expected", PINNED)
     def test_pinned_digests(self, engine, case, seed, expected):
         config = ExperimentConfig.for_case(
-            case, scale="smoke", engine=engine, seed=seed, kernel="numpy"
+            case, scale="smoke", engine=engine, seed=seed
         )
         assert replication_digest(config) == expected
 
-    def test_auto_is_numpy_when_numba_absent(self):
-        if numba_available():
-            pytest.skip("numba installed; auto resolves to the compiled backend")
-        config = ExperimentConfig.for_case(
-            "case1", scale="smoke", engine="fused", seed=1234
-        )
-        assert config.kernel == "auto"
-        assert replication_digest(config) == "5d931f9d1726a965"
-
-
-@needs_numba
-class TestNumbaStatisticalEquivalence:
-    """Gate the compiled backend on the same distributional tier that
-    admits turbo/fused: KS + Mann-Whitney on cooperation and fitness
-    samples, numpy-kernel vs numba-kernel ensembles."""
-
-    def test_distributions_match(self):
-        from repro.analysis.equivalence import (
-            collect_engine_samples,
-            compare_samples,
-        )
-
-        config = ExperimentConfig.for_case(
-            "case3", scale="smoke", seed=424243, engine="fused"
-        )
-        reference = collect_engine_samples(config.with_(kernel="numpy"), 20)
-        compiled = collect_engine_samples(config.with_(kernel="numba"), 20)
-        report = compare_samples(reference[0], compiled[0], alpha=0.01)
-        assert report.equivalent, report
+    def test_config_hash_payload_has_no_kernel(self):
+        config = ExperimentConfig.for_case("case1", scale="smoke")
+        assert "kernel" not in config.describe()
