@@ -105,9 +105,11 @@ class _FusedContext(_PlanContext):
             np.arange(n_seats, dtype=np.int64), n_tournaments
         )
         self.walk_fill = n_seats
-        # one private pair-code block per tournament (+1 spill slot, as in
-        # the base context)
-        self.writer_buf = np.empty(n_tournaments * m * m + 1, dtype=np.int64)
+        # one private pair-code block per tournament (+1 spill slot), held
+        # at walk_fill between rounds as in the base context
+        self.writer_buf = np.full(
+            n_tournaments * m * m + 1, self.walk_fill, dtype=np.int64
+        )
 
 
 class FusedEngine(TurboEngine):
@@ -264,8 +266,10 @@ class FusedEngine(TurboEngine):
         csn_free: np.ndarray,
     ) -> None:
         """Below ~10 games the second-chance sub-pass's fixed dispatch cost
-        exceeds the scalar kernel; replay those directly."""
-        if len(rel_ids) < 10:
+        exceeds the scalar kernel; replay those directly.  An unscoped
+        context (``pair_off is None``: the exchange fallback's inherited
+        per-tournament turbo path) always replays, as turbo does."""
+        if ctx.pair_off is None or len(rel_ids) < 10:
             self._replay_ids(ctx, g0 + rel_ids, req, delivered, csn_free)
         else:
             self._second_chance(ctx, g0, rel_ids, req, delivered, csn_free)
@@ -370,6 +374,7 @@ class FusedEngine(TurboEngine):
         pos_read = np.repeat(pos, n_dec)
         conflict_read = first_writer[r1] < pos_read
         conflict_read |= first_writer[r2] < pos_read
+        first_writer[w_scoped] = ctx.walk_fill
         keep2 = np.ones(n_sub, dtype=bool)
         keep2[np.repeat(np.arange(n_sub), n_dec)[conflict_read]] = False
 

@@ -5,9 +5,9 @@ loops fall into five narrow, state-free *ops* — path rating, the per-round
 decision gather/scatter, the first-writer conflict walk, the batched
 reputation commit, and the exact scalar conflict-replay with its watchdog
 recurrence.  :class:`~repro.sim.kernels.numpy_backend.NumpyKernel`
-implements them; it *is* the pre-kernel engine code, moved, so results are
-bit-identical to the historical inline implementation (pinned by
-``tests/test_sim_kernels.py``).
+implements them bit-identically to the historical inline implementation
+(pinned by ``tests/test_sim_kernels.py``), with the reputation write path
+made O(pairs written) per round.
 
 :class:`TimedKernel` wraps the kernel with per-op telemetry timers
 (``kernel.decision_s`` / ``kernel.replay_s`` / ``kernel.watchdog_s`` / ...)

@@ -1,12 +1,11 @@
 """The numpy kernel: the pre-kernel engine code, moved.
 
-Every op here is the historical inline implementation from
-``sim/turbo.py`` / ``sim/fused.py`` lifted out verbatim (same float
-expressions, same evaluation order), so this kernel is **bit-identical**
-to the pre-kernel engines on pinned seeds — the parity suite in
-``tests/test_sim_kernels.py`` holds it to that.
+Every op here keeps the historical inline implementation's float
+expressions and evaluation order from ``sim/turbo.py`` / ``sim/fused.py``,
+so this kernel is **bit-identical** to the pre-kernel engines on pinned
+seeds — the parity suite in ``tests/test_sim_kernels.py`` holds it to that.
 
-Two deliberate unifications, both proven exact:
+Deliberate unifications, all proven exact:
 
 * ``decide`` maps forwarding rates to trust levels with three vectorized
   comparisons instead of ``np.searchsorted(bounds, rate, side="left")``.
@@ -16,7 +15,17 @@ Two deliberate unifications, both proven exact:
 * ``first_writer`` replaces turbo's ``np.minimum.at`` with a reversed
   scatter-assign.  Callers pass write positions in ascending order, so
   assigning in reverse leaves the *minimum* position per code — identical
-  output, without ufunc.at's per-element dispatch.
+  output, without ufunc.at's per-element dispatch.  The op does not
+  refill the buffer: callers keep it at ``fill`` between calls by
+  resetting exactly the codes they scattered, so a round costs O(writes)
+  instead of O(buffer).
+* ``commit`` folds the pairs sparsely and updates the ``known`` /
+  ``pf_sum`` caches incrementally instead of recomputing them over the
+  whole ``m x m`` matrix.  Integer sums are order-free, and every writer
+  (this op, ``watchdog``, the exchange round trip, the engine's
+  allocation) keeps ``known == count_nonzero(ps, 1)`` and
+  ``pf_sum == pf.sum(1)``, so the increments land on the same values the
+  recompute produced.
 """
 
 from __future__ import annotations
@@ -87,26 +96,28 @@ class NumpyKernel:
     def first_writer(self, buf, fill, codes, pos):
         """Scatter the minimum write position per code into ``buf``.
 
-        Requires ``pos`` ascending (per duplicate code) — the reversed
-        assignment then leaves the first writer, matching minimum.at.
+        ``buf`` must hold ``fill`` everywhere on entry; the caller resets
+        ``buf[codes] = fill`` once it has read the result.  Requires
+        ``pos`` ascending (per duplicate code) — the reversed assignment
+        then leaves the first writer, matching minimum.at.
         """
-        buf.fill(fill)
         buf[codes[::-1]] = pos[::-1]
 
     def commit(self, state, pairs, pf_pairs):
         """Fold accepted observation pairs into the reputation matrices.
 
         ``pairs`` are flattened (observer, subject) codes of all accepted
-        packets-seen updates, ``pf_pairs`` the forwarded subset.  The
-        known/pf_sum caches are recomputed wholesale — cheaper than
-        tracking which cells crossed zero.
+        packets-seen updates, ``pf_pairs`` the forwarded subset.  Costs
+        O(len(pairs)): ``known`` gains one per cell that was zero before
+        this commit, ``pf_sum`` gains the forwarded count per observer.
         """
-        ps_flat, pf_flat = state.ps_flat, state.pf_flat
-        mm = ps_flat.size
-        ps_flat += np.bincount(pairs, minlength=mm)
-        pf_flat += np.bincount(pf_pairs, minlength=mm)
-        state.known[:] = np.count_nonzero(state.ps, axis=1)
-        state.pf_sum[:] = state.pf.sum(axis=1)
+        ps_flat, known, pf_sum = state.ps_flat, state.known, state.pf_sum
+        m = known.size
+        codes, counts = np.unique(pairs, return_counts=True)
+        known += np.bincount(codes[ps_flat[codes] == 0] // m, minlength=m)
+        ps_flat[codes] += counts
+        np.add.at(state.pf_flat, pf_pairs, 1)
+        pf_sum += np.bincount(pf_pairs // m, minlength=m)
 
     def replay_decide(self, state, source, nodes, lens, req, delivered, csn_free):
         """Exact scalar replay of one conflicted game against live state.

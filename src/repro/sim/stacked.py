@@ -22,8 +22,9 @@ statistically equivalent — pinned by ``tests/test_sim_stacked.py``):
 * The conflict walk scopes pair codes per ``(replication, tournament)``
   through :meth:`_StackedContext.scope`, reproducing the fused engine's
   per-tournament walk inside each replication's slate slice.
-* The ``known``/``pf_sum`` wholesale recomputes in ``commit`` are exact per
-  block because off-block cells are identically zero.
+* ``commit`` updates ``known``/``pf_sum`` incrementally per observer row,
+  and every written pair lies inside its replication's block, so each
+  block's caches see exactly its own writes.
 * Statistics counters are routed per replication (``(R, 9)``/``(R, 4)``
   accumulator matrices); float payoff accumulators are per *node* and the
   per-node fold order within a replication matches the fused engine's, so
@@ -105,8 +106,8 @@ class _StackedContext(_FusedContext):
         self.pair_off = t_global * (block * block) - rep * block * (block + 1)
         self.walk_pos = np.tile(np.arange(n_seats, dtype=np.int64), total_t)
         self.walk_fill = n_seats
-        self.writer_buf = np.empty(
-            total_t * block * block + 1, dtype=np.int64
+        self.writer_buf = np.full(
+            total_t * block * block + 1, self.walk_fill, dtype=np.int64
         )
 
     def scope(self, vals: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -183,7 +183,9 @@ class _PlanContext:
         self.pair_off = None
         self.walk_pos = self.grange
         self.walk_fill = games_per_round
-        self.writer_buf = np.empty(m * m + 1, dtype=np.int64)
+        # held at walk_fill between rounds: each walk resets exactly the
+        # codes it scattered, so no round pays a full-buffer fill
+        self.writer_buf = np.full(m * m + 1, self.walk_fill, dtype=np.int64)
         self.ratings_buf = np.empty(
             (games_per_round, max(plan.max_paths, 1)), dtype=np.float64
         )
@@ -559,6 +561,7 @@ class TurboEngine:
         kern.first_writer(first_writer, ctx.walk_fill, w_scoped, w_pos)
         conflict = first_writer[r1] < pos_read
         conflict |= first_writer[r2] < pos_read
+        first_writer[w_scoped] = ctx.walk_fill
         keep = ctx.keep_b[g0:g1]
         keep[g_read[conflict]] = False
 

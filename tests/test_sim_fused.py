@@ -18,7 +18,7 @@ from repro.core.strategy import Strategy
 from repro.game.stats import TournamentStats
 from repro.mobility import build_oracle
 from repro.network.provider import ApproxPolicy
-from repro.paths.distributions import SHORTER_PATHS
+from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
 from repro.reputation.exchange import ExchangeConfig
 from repro.sim import BIT_IDENTICAL_ENGINES, ENGINES, make_engine
@@ -219,6 +219,51 @@ class TestExchangeFallback:
         assert f_stats.to_dict() == t_stats.to_dict()
         assert np.array_equal(fused.payoff_matrix(), turbo.payoff_matrix())
         assert np.array_equal(fused.fitness(), turbo.fitness())
+
+    def test_fallback_replays_dense_rounds_like_turbo(self, monkeypatch):
+        """Rounds with >= 10 conflicts take fused's second-chance pass on a
+        slate; the fallback's per-tournament turbo context has no pair
+        scoping, so there they must replay exactly as turbo does."""
+        def dense(name):
+            engine = make_engine(name, 16, 4)
+            engine.set_strategies([Strategy.all_forward() for _ in range(16)])
+            return engine
+
+        conflicts = []
+        resolve = FusedEngine._resolve_conflicts
+
+        def counted(self, ctx, g0, rel_ids, *args):
+            conflicts.append(len(rel_ids))
+            resolve(self, ctx, g0, rel_ids, *args)
+
+        monkeypatch.setattr(FusedEngine, "_resolve_conflicts", counted)
+        fused, turbo = dense("fused"), dense("turbo")
+        seatings = make_seatings(fused, 3)
+        config = ExchangeConfig(enabled=True, interval=3, fanout=2)
+
+        f_stats = TournamentStats()
+        fused.reset_generation()
+        fused.run_generation(
+            seatings,
+            9,
+            RandomPathOracle(np.random.default_rng(5), LONGER_PATHS),
+            f_stats,
+            config,
+            np.random.default_rng(17),
+        )
+        assert max(conflicts) >= 10
+
+        t_stats = TournamentStats()
+        turbo.reset_generation()
+        oracle = RandomPathOracle(np.random.default_rng(5), LONGER_PATHS)
+        rng = np.random.default_rng(17)
+        for seating in seatings:
+            turbo.run_tournament(seating, 9, oracle, t_stats, config, rng)
+
+        assert f_stats.to_dict() == t_stats.to_dict()
+        assert np.array_equal(fused.payoff_matrix(), turbo.payoff_matrix())
+        assert np.array_equal(fused.fitness(), turbo.fitness())
+        assert fused._replayed_games == turbo._replayed_games
 
     def test_fallback_counts_in_telemetry_and_fires_hooks(self):
         engine = build_engine()
