@@ -358,9 +358,7 @@ def run_replications_stacked(config: ExperimentConfig) -> list[ReplicationResult
     ``tests/test_sim_stacked.py``).
 
     What stacking buys: the per-round vectorized pass amortizes its fixed
-    numpy dispatch cost over ``R`` replications' slates at once — the
-    ``random_stacked`` row of ``benchmarks/bench_engine_perf.py`` gates the
-    resulting throughput.
+    numpy dispatch cost over ``R`` replications' slates at once.
     """
     reason = stacked_unsupported_reason(config)
     if reason is not None:

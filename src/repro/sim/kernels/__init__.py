@@ -11,8 +11,8 @@ made O(pairs written) per round.
 
 :class:`TimedKernel` wraps the kernel with per-op telemetry timers
 (``kernel.decision_s`` / ``kernel.replay_s`` / ``kernel.watchdog_s`` / ...)
-so kernel time stays attributable in ``scripts/profile_engine.py``;
-engines only apply it when telemetry is enabled, preserving the
+so kernel time stays attributable in a ``--telemetry`` run's manifest
+(``repro stats``); engines only apply it when telemetry is enabled, preserving the
 zero-overhead contract.
 """
 

@@ -3,9 +3,8 @@
 Primitives are deliberately tiny (``__slots__``, plain attribute
 arithmetic): they live on the hot side of the telemetry boundary and are
 only ever touched when telemetry is enabled.  Every snapshot is a plain
-string-keyed tree bottoming out in finite numbers, so the run-manifest
-schema can reuse the bench-report numeric-tree validator
-(:func:`repro.utils.validation._check_numeric_tree`).
+string-keyed tree bottoming out in finite numbers, which the run-manifest
+schema checks with :func:`repro.utils.validation._check_numeric_tree`.
 
 Snapshots from different processes merge associatively
 (:meth:`MetricsRegistry.merge`), which is how per-replication worker

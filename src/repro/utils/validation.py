@@ -92,30 +92,29 @@ def shards_error(shards: int | None, label: str = "--shards") -> str | None:
 
 
 #: The exact key set of every machine-readable bench report
-#: (``results/bench_reports/*.json`` and the repo-root ``BENCH_ENGINE.json``).
+#: (``results/bench_reports/*.json``).
 BENCH_REPORT_KEYS = frozenset({"bench", "scale", "wall_s", "metrics", "git_sha"})
+
+
+def _check_finite_number(value: Any, path: str) -> None:
+    """One finite int or float; bools and containers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a finite number, got {type(value).__name__}")
+    # NaN poisons comparisons silently; +/-inf serializes as the
+    # non-RFC-8259 token ``Infinity`` that strict JSON consumers reject
+    if not math.isfinite(value):
+        raise ValueError(f"{path} is not finite ({value!r})")
 
 
 def _check_numeric_tree(value: Any, path: str) -> None:
     """Finite numbers, or string-keyed mappings that bottom out in them."""
-    if isinstance(value, bool):
-        raise ValueError(f"{path} must be numeric, got a bool")
-    if isinstance(value, (int, float)):
-        # NaN poisons comparisons silently; +/-inf serializes as the
-        # non-RFC-8259 token ``Infinity`` that strict JSON consumers reject
-        if not math.isfinite(value):
-            raise ValueError(f"{path} is not finite ({value!r})")
-        return
     if isinstance(value, Mapping):
         for key, sub in value.items():
             if not isinstance(key, str):
                 raise ValueError(f"{path} has a non-string key {key!r}")
             _check_numeric_tree(sub, f"{path}[{key!r}]")
         return
-    raise ValueError(
-        f"{path} must be a number or a nested mapping of numbers,"
-        f" got {type(value).__name__}"
-    )
+    _check_finite_number(value, path)
 
 
 def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
@@ -126,12 +125,10 @@ def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
     ``tests/test_bench_report_schema.py``):
 
     * exactly the keys ``{bench, scale, wall_s, metrics, git_sha}``,
-    * ``bench`` and ``git_sha`` are non-empty strings,
-    * ``scale`` is a string or a string-keyed mapping of numbers,
-    * ``wall_s`` is a non-negative number, ``null`` (a bench that did not
-      time itself), or a nested mapping of numbers (the engine ledger's
-      per-oracle/per-engine matrix),
-    * ``metrics`` is a string-keyed mapping bottoming out in finite numbers.
+    * ``bench``, ``scale`` and ``git_sha`` are non-empty strings,
+    * ``wall_s`` is a finite number >= 0, or ``null`` (a bench that did not
+      time itself),
+    * ``metrics`` is a flat mapping of string keys to finite numbers.
 
     Returns the payload for chaining; raises :class:`ValueError` with the
     offending path otherwise.
@@ -146,24 +143,21 @@ def validate_bench_report(payload: Any, name: str = "bench report") -> dict:
             f"{name} keys mismatch: missing {missing or 'none'},"
             f" unexpected {extra or 'none'}"
         )
-    for field in ("bench", "git_sha"):
+    for field in ("bench", "scale", "git_sha"):
         if not isinstance(payload[field], str) or not payload[field]:
             raise ValueError(f"{name}: {field!r} must be a non-empty string")
-    scale = payload["scale"]
-    if isinstance(scale, str):
-        if not scale:
-            raise ValueError(f"{name}: 'scale' string must be non-empty")
-    else:
-        _check_numeric_tree(scale, f"{name}: scale")
     wall = payload["wall_s"]
     if wall is not None:
-        _check_numeric_tree(wall, f"{name}: wall_s")
-        if isinstance(wall, (int, float)) and wall < 0:
+        _check_finite_number(wall, f"{name}: wall_s")
+        if wall < 0:
             raise ValueError(f"{name}: wall_s must be >= 0, got {wall}")
     metrics = payload["metrics"]
     if not isinstance(metrics, Mapping):
         raise ValueError(f"{name}: 'metrics' must be a mapping")
-    _check_numeric_tree(metrics, f"{name}: metrics")
+    for key, value in metrics.items():
+        if not isinstance(key, str):
+            raise ValueError(f"{name}: metrics has a non-string key {key!r}")
+        _check_finite_number(value, f"{name}: metrics[{key!r}]")
     return dict(payload)
 
 

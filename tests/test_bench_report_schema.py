@@ -1,7 +1,7 @@
 """Schema contract for the machine-readable bench reports.
 
-Every ``results/bench_reports/*.json`` plus the repo-root ``BENCH_ENGINE.json``
-ledger must satisfy the ``{bench, scale, wall_s, metrics, git_sha}`` contract
+Every ``results/bench_reports/*.json`` must satisfy the flat
+``{bench, scale, wall_s, metrics, git_sha}`` contract
 (:func:`repro.utils.validation.validate_bench_report`), so a malformed bench
 cannot slip an unparseable artefact past CI's report-archiving step.  The
 validator itself is unit-tested here against representative corruptions.
@@ -19,9 +19,7 @@ from repro.utils.validation import BENCH_REPORT_KEYS, validate_bench_report
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIR = REPO_ROOT / "results" / "bench_reports"
 
-committed_reports = sorted(REPORT_DIR.glob("*.json")) + [
-    REPO_ROOT / "BENCH_ENGINE.json"
-]
+committed_reports = sorted(REPORT_DIR.glob("*.json"))
 
 
 class TestCommittedArtefacts:
@@ -39,41 +37,46 @@ class TestCommittedArtefacts:
         the parametrization above silently validated nothing."""
         assert len(committed_reports) > 1
 
-    def test_engine_ledger_has_all_engine_rows(self):
-        """The committed perf ledger carries a row per registered engine on
-        every gated oracle (check_perf_regression gates them from here)."""
-        from repro.sim import ENGINES
-
-        ledger = json.loads((REPO_ROOT / "BENCH_ENGINE.json").read_text())
-        for oracle in ("random", "topology", "mobile"):
-            assert set(ledger["wall_s"][oracle]) == set(ENGINES), oracle
-        assert ledger["metrics"]["turbo_speedup_vs_batch_random"] >= 1.3
-
-    def test_engine_ledger_has_stacked_rows(self):
-        """The cross-replication rows must survive ledger regenerations."""
-        ledger = json.loads((REPO_ROOT / "BENCH_ENGINE.json").read_text())
-        for kind in ("random", "topology", "mobile"):
-            assert set(ledger["wall_s"][f"{kind}_stacked"]) == {"stacked"}
-        assert ledger["metrics"]["stacked_random_games_per_s"] > 0
-
 
 def good_payload() -> dict:
     return {
         "bench": "probe",
         "scale": "smoke",
         "wall_s": 0.5,
-        "metrics": {"metric": 1.0, "nested": {"a": 2}},
+        "metrics": {"metric": 1.0, "count": 2},
         "git_sha": "abc1234",
     }
 
 
 class TestValidator:
-    def test_accepts_flat_and_nested(self):
+    def test_accepts_flat(self):
         assert validate_bench_report(good_payload())["bench"] == "probe"
-        ledger_style = good_payload()
-        ledger_style["scale"] = {"seats": 50, "rounds": 40}
-        ledger_style["wall_s"] = {"random": {"batch": 0.02, "turbo": 0.013}}
-        validate_bench_report(ledger_style)
+
+    def test_nested_wall_rejected(self):
+        payload = good_payload()
+        payload["wall_s"] = {"random": {"batch": 0.02, "turbo": 0.013}}
+        with pytest.raises(ValueError, match="wall_s must be a finite number"):
+            validate_bench_report(payload)
+
+    def test_nested_scale_rejected(self):
+        payload = good_payload()
+        payload["scale"] = {"seats": 50, "rounds": 40}
+        with pytest.raises(ValueError, match="'scale' must be a non-empty string"):
+            validate_bench_report(payload)
+
+    def test_nested_metrics_rejected(self):
+        payload = good_payload()
+        payload["metrics"] = {"games_per_s": {"random": {"batch": 1e5}}}
+        with pytest.raises(
+            ValueError, match=r"metrics\['games_per_s'\] must be a finite number"
+        ):
+            validate_bench_report(payload)
+
+    def test_non_string_metric_key_rejected(self):
+        payload = good_payload()
+        payload["metrics"] = {1: 1.0}
+        with pytest.raises(ValueError, match="non-string key"):
+            validate_bench_report(payload)
 
     def test_accepts_null_wall(self):
         payload = good_payload()
@@ -123,7 +126,7 @@ class TestValidator:
     def test_non_numeric_metric_rejected(self):
         payload = good_payload()
         payload["metrics"] = {"bad": "fast"}
-        with pytest.raises(ValueError, match="number or a nested mapping"):
+        with pytest.raises(ValueError, match="must be a finite number"):
             validate_bench_report(payload)
 
     def test_bool_metric_rejected(self):

@@ -10,6 +10,10 @@ The batch engine additionally pre-draws whole tournament/round schedules
 never changes a trajectory, for every oracle kind and with the second-hand
 exchange enabled (where gossip draws interleave with oracle draws on a
 shared generator at round boundaries).
+
+``TestTableFiveScalePerOracle`` repeats the check at table-5 scale on every
+oracle kind, including per-round mobility under both route-cache policies,
+and holds turbo, fused and the stacked path to the same workload.
 """
 
 from __future__ import annotations
@@ -19,14 +23,20 @@ import os
 import numpy as np
 import pytest
 
+from repro.config.mobility import MobilityConfig
 from repro.core.strategy import Strategy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replication
 from repro.game.stats import TournamentStats
+from repro.mobility import build_oracle
+from repro.network.topology import GeometricTopology, TopologyPathOracle
 from repro.paths.distributions import LONGER_PATHS, SHORTER_PATHS
 from repro.paths.oracle import RandomPathOracle
+from repro.paths.vector import plan_generation_arrays, stack_replication_plans
 from repro.reputation.exchange import ExchangeConfig
 from repro.sim import BIT_IDENTICAL_ENGINES, make_engine
+from repro.sim.fused import FusedEngine
+from repro.sim.stacked import StackedFusedEngine
 from repro.tournament.environment import TournamentEnvironment
 from repro.tournament.evaluation import evaluate_generation
 
@@ -281,3 +291,175 @@ class TestRandomizedSeedEquivalence:
             assert np.array_equal(
                 ref.payoff_matrix(), batch.payoff_matrix()
             ), f"oracle seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# Table-5 scale, every oracle kind
+# ---------------------------------------------------------------------------
+
+#: Table-5 scale: full 50-seat tournaments in a TE2-like environment.
+SCALE_ROUNDS = 40
+SCALE_NORMAL = 40
+SCALE_CSN = 10
+SCALE_SEATS = SCALE_NORMAL + SCALE_CSN
+SCALE_GAMES = SCALE_ROUNDS * SCALE_SEATS
+#: Tournaments per fused generation pass (a table-5 environment's count).
+FUSED_STACK = 10
+#: Replications per cross-replication stacked pass.
+STACK_REPS = 8
+
+SCALE_ORACLES = (
+    "random",
+    "topology",
+    "mobile",
+    "mobility_highspeed",
+    "mobility_highspeed_approx",
+)
+#: Oracle kinds also run through the stacked path.
+STACKED_ORACLES = ("random", "topology", "mobile")
+
+#: The paper's low-mobility regime: slow waypoint drift inside the
+#: tolerance band, the topology stepped once per tournament.
+MOBILE_CONFIG = MobilityConfig(
+    model="waypoint",
+    speed_min=0.002,
+    speed_max=0.008,
+    tolerance=0.02,
+    step_every="tournament",
+)
+#: Per-round mobility: the same drift stepped every round with zero
+#: tolerance, so the edge set changes round by round.  The radio range
+#: matches the static topology row and keeps the giant component intact.
+HIGHSPEED_CONFIG = MOBILE_CONFIG.with_(
+    tolerance=0.0, step_every="round", radio_range=0.35
+)
+#: Routes may be served up to this many epochs stale under ``approx``.
+HIGHSPEED_DRIFT_BUDGET = 240
+
+
+def make_oracle(kind: str, seed: int = 1):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return RandomPathOracle(rng, SHORTER_PATHS)
+    if kind == "topology":
+        topology = GeometricTopology(range(SCALE_SEATS), radio_range=0.35, rng=rng)
+        return TopologyPathOracle(topology, rng)
+    if kind == "mobile":
+        return build_oracle(MOBILE_CONFIG, range(SCALE_SEATS), rng)
+    if kind == "mobility_highspeed":
+        return build_oracle(HIGHSPEED_CONFIG, range(SCALE_SEATS), rng)
+    if kind == "mobility_highspeed_approx":
+        config = HIGHSPEED_CONFIG.with_(
+            route_cache="approx", drift_budget=HIGHSPEED_DRIFT_BUDGET
+        )
+        return build_oracle(config, range(SCALE_SEATS), rng)
+    raise ValueError(f"unknown oracle kind {kind!r}")
+
+
+def _seat_scale_population(engine) -> list[int]:
+    """Upload the fixed random population and return the 50-seat list."""
+    rng = np.random.default_rng(0)
+    engine.set_strategies([Strategy.random(rng) for _ in range(SCALE_NORMAL)])
+    participants = list(range(SCALE_NORMAL)) + engine.selfish_ids(SCALE_CSN)
+    engine.reset_generation()
+    return participants
+
+
+def run_scale_tournament(engine_name: str, oracle_kind: str) -> TournamentStats:
+    """One table-5-scale tournament on a fresh oracle, then the
+    per-tournament clock hook as ``evaluate_generation`` fires it."""
+    engine = make_engine(engine_name, SCALE_NORMAL, SCALE_CSN)
+    participants = _seat_scale_population(engine)
+    oracle = make_oracle(oracle_kind)
+    stats = TournamentStats()
+    engine.run_tournament(participants, SCALE_ROUNDS, oracle, stats, None, None)
+    hook = getattr(oracle, "on_tournament_end", None)
+    if hook is not None:
+        hook()
+    return stats
+
+
+def run_scale_fused_generation(oracle_kind: str) -> TournamentStats:
+    """One fused generation: ``FUSED_STACK`` copies of the tournament
+    seating above in a single pass."""
+    engine = make_engine("fused", SCALE_NORMAL, SCALE_CSN)
+    participants = _seat_scale_population(engine)
+    stats = TournamentStats()
+    engine.run_generation(
+        [list(participants) for _ in range(FUSED_STACK)],
+        SCALE_ROUNDS,
+        make_oracle(oracle_kind),
+        stats,
+    )
+    return stats
+
+
+def run_scale_stacked_generation(oracle_kind: str) -> list[TournamentStats]:
+    """``STACK_REPS`` x ``FUSED_STACK`` tournaments as one mega-slate, each
+    replication planned on its own oracle (seeds 1..STACK_REPS) and shifted
+    into a private node-id block, as the experiment layer's stacked path
+    does."""
+    engine = StackedFusedEngine(SCALE_NORMAL, SCALE_CSN, n_replications=STACK_REPS)
+    participants = _seat_scale_population(engine)
+    plans = []
+    for rep in range(STACK_REPS):
+        oracle = make_oracle(oracle_kind, seed=1 + rep)
+        share = FusedEngine._share_route_tables(oracle)
+        try:
+            plans.append(
+                plan_generation_arrays(
+                    oracle,
+                    [list(participants) for _ in range(FUSED_STACK)],
+                    SCALE_ROUNDS,
+                    on_tournament_end=getattr(oracle, "on_tournament_end", None),
+                )
+            )
+        finally:
+            FusedEngine._restore_route_policy(oracle, share)
+    plan = stack_replication_plans(plans, SCALE_ROUNDS, SCALE_SEATS)
+    stats = [TournamentStats() for _ in range(STACK_REPS)]
+    engine.run_generation_stacked(plan, SCALE_ROUNDS, FUSED_STACK, SCALE_SEATS, stats)
+    return stats
+
+
+class TestTableFiveScalePerOracle:
+    """Every engine does the same work at table-5 scale on every oracle.
+
+    The bit-identical trio must agree exactly; turbo (statistical contract,
+    distributions gated in ``tests/test_engine_statistical.py``) must play
+    the same workload; the fused generation and every stacked replication
+    must conserve ``FUSED_STACK`` tournaments' worth of games.
+    """
+
+    @pytest.mark.parametrize("oracle_kind", SCALE_ORACLES)
+    def test_engines_equal_output_per_oracle(self, oracle_kind):
+        reference = run_scale_tournament(
+            BIT_IDENTICAL_ENGINES[0], oracle_kind
+        ).to_dict()
+        for engine_name in BIT_IDENTICAL_ENGINES[1:]:
+            assert (
+                run_scale_tournament(engine_name, oracle_kind).to_dict() == reference
+            ), engine_name
+        turbo = run_scale_tournament("turbo", oracle_kind).to_dict()
+        assert (
+            turbo["nn_originated"] + turbo["csn_originated"]
+            == reference["nn_originated"] + reference["csn_originated"]
+            == SCALE_GAMES
+        )
+        assert turbo["nn_delivered"] <= turbo["nn_originated"]
+        assert turbo["nn_paths_chosen"] == reference["nn_paths_chosen"]
+        fused = run_scale_fused_generation(oracle_kind).to_dict()
+        assert (
+            fused["nn_originated"] + fused["csn_originated"]
+            == FUSED_STACK * SCALE_GAMES
+        )
+        assert fused["nn_delivered"] <= fused["nn_originated"]
+        assert fused["nn_paths_chosen"] == FUSED_STACK * reference["nn_paths_chosen"]
+        if oracle_kind in STACKED_ORACLES:
+            for rep_stats in run_scale_stacked_generation(oracle_kind):
+                rep = rep_stats.to_dict()
+                assert (
+                    rep["nn_originated"] + rep["csn_originated"]
+                    == FUSED_STACK * SCALE_GAMES
+                )
+                assert rep["nn_delivered"] <= rep["nn_originated"]

@@ -50,9 +50,8 @@ ALPHA = 0.01
 
 #: The per-round-mobility regime the approx policy exists for: topology
 #: stepped every round with zero tolerance (every edge flip counts), at the
-#: same slow waypoint drift as the perf ledger's mobile rows, with the
-#: bench row's aggressive drift budget — the exact configuration whose
-#: >= 2x throughput claim BENCH_ENGINE.json posts.
+#: same slow waypoint drift and aggressive drift budget as the per-round
+#: mobility case of ``tests/test_engine_equivalence.py``.
 HIGH_MOBILITY = MobilityConfig(
     model="waypoint",
     speed_min=0.002,

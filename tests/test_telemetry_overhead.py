@@ -4,9 +4,7 @@ Instrumented code may touch the telemetry runtime O(1) times per
 *tournament seam* (one ``get_telemetry()`` + one ``enabled`` read), never
 per round or per game, and a disabled run must allocate nothing from the
 telemetry package.  These tests install a counting recorder as the
-process-global singleton and run real engines against it; the wall-clock
-side of the same contract is gated by
-``benchmarks/bench_telemetry_overhead.py`` against the perf ledger.
+process-global singleton and run real engines against it.
 """
 
 from __future__ import annotations
