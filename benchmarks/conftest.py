@@ -62,8 +62,9 @@ def _pick_scale() -> str:
     forced = os.environ.get("REPRO_BENCH_SCALE")
     if forced:
         return forced
+    probe = ReproductionSession(scale="default", seed=SEED, cache_dir=RESULTS_DIR)
     cached = all(
-        (RESULTS_DIR / f"{case}_default_seed{SEED}.json").exists()
+        probe.cache_path(case).exists()
         for case in ("case1", "case2", "case3", "case4")
     )
     return "default" if cached else "smoke"

@@ -207,9 +207,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, defaults: bool = True) -> No
         type=int,
         default=None,
         help=(
-            "group replications into at most N deterministic shards run"
-            " through the work-stealing scheduler; any shard count yields"
-            " bit-identical results (default: one pool task per replication)"
+            "group replications into at most N deterministic shards, one"
+            " pool task each; any shard count yields bit-identical results"
+            " (default: one pool task per replication)"
         ),
     )
     parser.add_argument(

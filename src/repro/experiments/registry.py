@@ -17,7 +17,7 @@ from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import run_experiment
 from repro.parallel.progress import ProgressPrinter
-from repro.telemetry.manifest import write_run_manifest
+from repro.telemetry.manifest import config_hash, write_run_manifest
 
 __all__ = ["ARTEFACTS", "ArtefactSpec", "ReproductionSession"]
 
@@ -106,26 +106,23 @@ class ReproductionSession:
         )
         return resolve_scenario(payload).config
 
-    def _cache_path(self, case_name: str) -> Path | None:
+    def cache_path(self, case_name: str) -> Path | None:
+        """Where ``cache_dir`` holds the raw result of ``case_name``.
+
+        The file is keyed by the config hash, which covers everything that
+        changes results (seed, engine, route cache, drift budget, ...), so
+        a cached result is only ever served to the config that produced it.
+        """
         if self.cache_dir is None:
             return None
-        if self.route_cache in (None, "exact"):
-            suffix = ""
-        else:
-            # the budget changes the results: a budget-8 run must never be
-            # served a cached budget-240 result (or vice versa)
-            budget = "" if self.drift_budget is None else f"{self.drift_budget}"
-            suffix = f"_{self.route_cache}{budget}"
-        return (
-            self.cache_dir
-            / f"{case_name}_{self.scale}_seed{self.seed}{suffix}.json"
-        )
+        key = config_hash(self.config_for(case_name).describe())[:16]
+        return self.cache_dir / f"{case_name}_{self.scale}_{key}.json"
 
     def result_for(self, case_name: str) -> ExperimentResult:
         """The experiment result for a case, computed/loaded at most once."""
         if case_name in self._results:
             return self._results[case_name]
-        cache = self._cache_path(case_name)
+        cache = self.cache_path(case_name)
         if cache is not None and cache.exists():
             result = ExperimentResult.load(cache)
         else:

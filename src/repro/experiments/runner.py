@@ -6,10 +6,13 @@ derived from ``(config.seed, i)``, so the outcome is independent of the
 worker count — and of the shard count: with ``shards=N`` the replication set
 is split into deterministic contiguous groups (:func:`repro.parallel.shard.
 plan_shards`) that each run serially inside one worker, which amortises
-process dispatch for large replication counts and buys work-stealing
-recovery from dead or straggling workers, while producing bit-identical
+process dispatch for large replication counts while producing bit-identical
 :class:`ReplicationResult`\\ s for every shard count (pinned by
-``tests/test_parallel_shard.py`` and the CI shard-invariance gate).
+``tests/test_parallel_shard.py`` and the CI shard-invariance gate).  Shards
+and single replications are both ordinary tasks of
+:func:`repro.parallel.pool.parallel_map`: a sharded run survives one worker
+death (the pool is rebuilt and unfinished shards re-run), an unsharded run
+fails fast.
 
 ``checkpoint_dir``/``resume`` thread straight through to
 :func:`repro.experiments.replication.run_replication`, so an interrupted
@@ -19,12 +22,9 @@ intact checkpoint.
 With telemetry enabled in the config, each replication records inside its
 own session (worker processes included) and ships a picklable export back on
 ``ReplicationResult.telemetry``; the runner opens a parent session of its
-own to capture pool-level metrics and merges every export into it.  In
-sharded mode the folding is hierarchical: each shard worker merges its
-replications' registries into one shard-level view
-(``MetricsRegistry.merge``), and the parent merges only the shard exports —
-same totals, one merge per shard instead of one per replication crossing
-the process boundary.
+own to capture pool-level metrics and merges every replication's export into
+it, sharded or not.  A sharded run also counts ``shard.runs`` and
+``shard.replications`` from its plan.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.experiments.replication import (
 )
 from repro.experiments.results import ExperimentResult
 from repro.parallel.pool import parallel_map
-from repro.parallel.shard import plan_shards, sharded_map
+from repro.parallel.shard import plan_shards
 from repro.telemetry.runtime import telemetry_session
 
 __all__ = ["run_experiment"]
@@ -60,51 +60,14 @@ def _task(
 
 def _shard_task(
     args: tuple[ExperimentConfig, Sequence[int], str | None, bool],
-) -> dict:
+) -> list[ReplicationResult]:
     """Run one shard's replications serially inside a worker.
 
-    Returns ``{"results": [ReplicationResult, ...], "telemetry": export|None}``
-    where the export is the shard-level fold of every replication registry
-    (plus ``shard.runs``/``shard.replications`` counters), so the parent
-    merges one registry per shard rather than one per replication.
+    Each result carries its own telemetry export, exactly as from
+    :func:`_task`.
     """
     config, indices, checkpoint_dir, resume = args
-    if not config.telemetry.enabled:
-        return {
-            "results": [
-                run_replication(
-                    config, i, checkpoint_dir=checkpoint_dir, resume=resume
-                )
-                for i in indices
-            ],
-            "telemetry": None,
-        }
-    t0 = perf_counter()
-    with telemetry_session(config.telemetry) as tel:
-        results = [
-            run_replication(
-                config, i, checkpoint_dir=checkpoint_dir, resume=resume
-            )
-            for i in indices
-        ]
-        tel.count("shard.runs")
-        tel.count("shard.replications", len(results))
-        events: list[dict] = list(tel.events)
-        dropped = tel.dropped_events
-        for rep in results:
-            export = rep.telemetry
-            if not export:
-                continue
-            tel.registry.merge(export.get("metrics", {}))
-            events.extend(export.get("events", []))
-            dropped += export.get("dropped_events", 0)
-        shard_export = {
-            "metrics": tel.snapshot(),
-            "events": events,
-            "dropped_events": dropped,
-        }
-    shard_export["wall_s"] = perf_counter() - t0
-    return {"results": results, "telemetry": shard_export}
+    return [_task((config, i, checkpoint_dir, resume)) for i in indices]
 
 
 def run_experiment(
@@ -115,7 +78,6 @@ def run_experiment(
     shards: int | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = True,
-    max_redispatch: int | None = None,
     stacked: bool | None = None,
 ) -> ExperimentResult:
     """Run all replications of ``config`` and aggregate the results.
@@ -131,18 +93,15 @@ def run_experiment(
     shards:
         ``None`` dispatches one pool task per replication (the default);
         ``N >= 1`` groups replications into at most ``N`` deterministic
-        contiguous shards run through the work-stealing scheduler.  Any
-        shard count yields bit-identical results.
+        contiguous shards, one pool task each.  Any shard count yields
+        bit-identical results.  A sharded run survives one worker death;
+        an unsharded one fails fast.
     checkpoint_dir:
         Root of the checkpoint store; ``None`` disables checkpointing.
     resume:
         With a ``checkpoint_dir``, continue each replication from its
         newest intact checkpoint (``False`` forces a fresh start while
         still writing checkpoints).
-    max_redispatch:
-        Worker-death recoveries to allow (see ``parallel_map``); ``None``
-        keeps each scheduler's default — fail fast unsharded, one recovery
-        when sharded.
     stacked:
         ``None`` (the default) evaluates all replications as one stacked
         slate (:func:`repro.experiments.replication.run_replications_stacked`)
@@ -184,45 +143,28 @@ def run_experiment(
         )
     ckpt = str(checkpoint_dir) if checkpoint_dir is not None else None
 
-    if shards is None:
-        tasks = [(config, i, ckpt, resume) for i in range(config.replications)]
-        redispatch = 0 if max_redispatch is None else max_redispatch
+    plan = None if shards is None else plan_shards(config.replications, shards)
 
-        def run_all() -> list[ReplicationResult]:
+    def run_all() -> list[ReplicationResult]:
+        if plan is None:
+            tasks = [(config, i, ckpt, resume) for i in range(config.replications)]
             return parallel_map(
                 _task,
                 tasks,
                 processes=processes,
                 progress=progress,
-                max_redispatch=redispatch,
+                max_redispatch=0,
             )
-
-    else:
-        plan = plan_shards(config.replications, shards)
-        shard_items = [
-            (config, shard.task_indices, ckpt, resume) for shard in plan
-        ]
-        redispatch = 1 if max_redispatch is None else max_redispatch
-
-        def run_all() -> list[ReplicationResult]:
-            shard_outs = sharded_map(
-                _shard_task,
-                shard_items,
-                processes=processes,
-                progress=progress,
-                max_redispatch=redispatch,
-            )
-            # contiguous ascending shards concatenate back into replication
-            # order; the sort is a guard, not a requirement
-            flat: list[ReplicationResult] = []
-            exports: list[dict] = []
-            for out in shard_outs:
-                flat.extend(out["results"])
-                if out["telemetry"]:
-                    exports.append(out["telemetry"])
-            flat.sort(key=lambda rep: rep.replication)
-            run_all.exports = exports  # type: ignore[attr-defined]
-            return flat
+        items = [(config, shard.task_indices, ckpt, resume) for shard in plan]
+        per_shard = parallel_map(
+            _shard_task,
+            items,
+            processes=processes,
+            progress=progress,
+            max_redispatch=1,
+        )
+        # contiguous ascending shards concatenate back into replication order
+        return [rep for reps in per_shard for rep in reps]
 
     if not config.telemetry.enabled:
         replications = run_all()
@@ -230,17 +172,16 @@ def run_experiment(
 
     # parent session: the pool captures it at entry, so each task's own
     # nested session (the serial path) cannot steal its pool metrics;
-    # replication (or shard-level) registries merge in afterwards
+    # replication registries merge in afterwards
     t0 = perf_counter()
     with telemetry_session(config.telemetry) as tel:
         replications = run_all()
+        if plan is not None:
+            tel.count("shard.runs", len(plan))
+            tel.count("shard.replications", config.replications)
         events: list[dict] = list(tel.events)
         dropped = tel.dropped_events
-        if shards is None:
-            exports = [rep.telemetry for rep in replications if rep.telemetry]
-        else:
-            exports = getattr(run_all, "exports", [])
-        for export in exports:
+        for export in (rep.telemetry for rep in replications if rep.telemetry):
             tel.registry.merge(export.get("metrics", {}))
             events.extend(export.get("events", []))
             dropped += export.get("dropped_events", 0)

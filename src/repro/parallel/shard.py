@@ -1,48 +1,23 @@
-"""Deterministic shard scheduler with work-stealing re-dispatch.
+"""Deterministic shard plans for indexed task sets.
 
 A *shard* is a contiguous slice of an indexed task set that one worker
-processes as a unit.  Sharding exists for the replication sets and parameter
-sweeps of :mod:`repro.experiments`: grouping replications amortises per-task
-dispatch overhead, while determinism is preserved because every task derives
-its random stream from ``(master_seed, task_index)`` — the *shard* never
-enters the seed tree (see :mod:`repro.utils.rng`).  The same task set
-therefore produces bit-identical results under any shard count, pinned by
+processes as a unit.  Sharding exists for the replication sets of
+:mod:`repro.experiments`: grouping replications amortises per-task dispatch
+overhead, while determinism is preserved because every task derives its
+random stream from ``(master_seed, task_index)`` — the *shard* never enters
+the seed tree (see :mod:`repro.utils.rng`).  The same task set therefore
+produces bit-identical results under any shard count, pinned by
 ``tests/test_parallel_shard.py`` and the CI shard-invariance gate.
 
-Fault tolerance, in two layers:
-
-* **dead workers** — a broken executor (OOM kill, segfault) is rebuilt and
-  every shard without a result is resubmitted, up to ``max_redispatch``
-  times;
-* **stragglers** — when completed-shard durations show a shard running more
-  than ``straggler_factor`` times the median while workers sit idle, a
-  speculative duplicate is submitted (the same idea the pool's
-  ``parallel.straggler_spread`` gauge quantifies after the fact); the first
-  finisher wins and the loser is discarded, which is safe because shard
-  functions are deterministic.
-
-Both events land in telemetry (``parallel.redispatched``,
-``parallel.stolen``, ``parallel.pool_rebuilds``) next to the existing pool
-metrics, so re-dispatch decisions and their frequency are observable per
-run.
+Each shard runs as one ordinary task of
+:func:`repro.parallel.pool.parallel_map`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from statistics import median
-from time import perf_counter
-from typing import Callable, Sequence, TypeVar
 
-from repro.parallel.pool import _record_pool_metrics, _timed_call, default_processes
-from repro.telemetry.runtime import get_telemetry
-
-__all__ = ["Shard", "plan_shards", "sharded_map"]
-
-T = TypeVar("T")
-R = TypeVar("R")
+__all__ = ["Shard", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -79,149 +54,3 @@ def plan_shards(n_tasks: int, n_shards: int) -> list[Shard]:
         start += size
     assert start == n_tasks
     return shards
-
-
-def sharded_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    processes: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    max_redispatch: int = 1,
-    straggler_factor: float = 4.0,
-    poll_s: float = 0.05,
-) -> list[R]:
-    """Apply deterministic ``fn`` to every item with work-stealing recovery.
-
-    Like :func:`repro.parallel.pool.parallel_map` but built for shard-sized
-    tasks: on top of in-order results and dead-executor re-dispatch it adds
-    speculative duplicates for stragglers (see module docstring).  ``fn``
-    **must** be deterministic — a speculative duplicate's result is used
-    interchangeably with the original's.
-
-    ``straggler_factor`` is the multiple of the median completed-shard
-    duration a running shard must exceed (while a worker is idle) before a
-    duplicate is submitted; ``None`` disables speculation.  ``poll_s`` is
-    the scheduler's wake-up interval for straggler checks.
-    """
-    items = list(items)
-    total = len(items)
-    if total == 0:
-        return []
-    if processes is None:
-        processes = default_processes(total)
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    if max_redispatch < 0:
-        raise ValueError(f"max_redispatch must be >= 0, got {max_redispatch}")
-    if straggler_factor is not None and straggler_factor <= 1.0:
-        raise ValueError(
-            f"straggler_factor must be > 1 (or None), got {straggler_factor}"
-        )
-
-    tel = get_telemetry()
-    if not tel.enabled:
-        tel = None
-    t_start = perf_counter() if tel is not None else 0.0
-    task_s: list[float] = []
-
-    if processes == 1 or total == 1:
-        out_serial: list[R] = []
-        for i, item in enumerate(items):
-            t0 = perf_counter()
-            out_serial.append(fn(item))
-            task_s.append(perf_counter() - t0)
-            if progress is not None:
-                progress(i + 1, total)
-        if tel is not None:
-            _record_pool_metrics(tel, task_s, 1, perf_counter() - t_start)
-        return out_serial
-
-    out: list[R | None] = [None] * total
-    completed = [False] * total
-    done_count = 0
-    redispatches_left = max_redispatch
-    stolen = 0
-    durations: list[float] = []
-
-    while done_count < total:
-        pool = ProcessPoolExecutor(max_workers=processes)
-        future_to_index: dict[Future, int] = {}
-        submitted_at: dict[Future, float] = {}
-        in_flight: dict[int, list[Future]] = {}
-
-        def submit(i: int) -> None:
-            future = pool.submit(_timed_call, fn, items[i])
-            future_to_index[future] = i
-            submitted_at[future] = perf_counter()
-            in_flight.setdefault(i, []).append(future)
-
-        try:
-            for i in range(total):
-                if not completed[i]:
-                    submit(i)
-            while done_count < total:
-                done, _pending = wait(
-                    set(future_to_index),
-                    timeout=poll_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    i = future_to_index.pop(future)
-                    submitted_at.pop(future, None)
-                    in_flight[i] = [f for f in in_flight[i] if f is not future]
-                    exc = future.exception()
-                    if isinstance(exc, BrokenProcessPool):
-                        raise exc  # worker death: maybe re-dispatch
-                    if completed[i]:
-                        continue  # the speculative sibling already won
-                    if exc is not None:
-                        for f in future_to_index:
-                            f.cancel()
-                        raise exc
-                    seconds, result = future.result()
-                    task_s.append(seconds)
-                    durations.append(seconds)
-                    out[i] = result
-                    completed[i] = True
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, total)
-                if (
-                    straggler_factor is not None
-                    and durations
-                    and len(future_to_index) < processes
-                ):
-                    # idle capacity while some shards are still running:
-                    # duplicate any shard well past the median duration
-                    # (only singly-in-flight ones — one backup per shard
-                    # per executor generation)
-                    cutoff = straggler_factor * median(durations)
-                    now = perf_counter()
-                    budget = processes - len(future_to_index)
-                    for i in range(total):
-                        if budget <= 0:
-                            break
-                        flights = in_flight.get(i, [])
-                        if completed[i] or len(flights) != 1:
-                            continue
-                        if now - submitted_at.get(flights[0], now) > cutoff:
-                            submit(i)
-                            stolen += 1
-                            budget -= 1
-                            if tel is not None:
-                                tel.count("parallel.stolen")
-        except BrokenProcessPool:
-            # results already collected survive; everything else gets a
-            # fresh executor (deterministic fn makes re-running safe)
-            if redispatches_left <= 0:
-                raise
-            redispatches_left -= 1
-            if tel is not None:
-                tel.count("parallel.redispatched", total - done_count)
-                tel.count("parallel.pool_rebuilds")
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    if tel is not None:
-        _record_pool_metrics(tel, task_s, processes, perf_counter() - t_start)
-    return out  # type: ignore[return-value]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import ARTEFACTS, ReproductionSession
+from repro.telemetry.manifest import config_hash
 
 
 class TestRegistryCompleteness:
@@ -70,11 +71,30 @@ class TestReproductionSession:
     def test_disk_cache_roundtrip(self, tmp_path):
         session = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
         first = session.result_for("case1")
-        assert (tmp_path / "case1_smoke_seed2007.json").exists()
+        key = config_hash(session.config_for("case1").describe())[:16]
+        assert session.cache_path("case1") == tmp_path / f"case1_smoke_{key}.json"
+        assert session.cache_path("case1").exists()
         # a fresh session loads from disk instead of re-simulating
         session2 = ReproductionSession(scale="smoke", processes=1, cache_dir=tmp_path)
         second = session2.result_for("case1")
         assert second.to_dict() == first.to_dict()
+
+    def test_disk_cache_is_keyed_by_engine(self, tmp_path):
+        """A cached batch result is never served to a fused session."""
+        batch = ReproductionSession(
+            scale="smoke", processes=1, cache_dir=tmp_path
+        ).result_for("case1")
+        fused = ReproductionSession(
+            scale="smoke", processes=1, engine="fused", cache_dir=tmp_path
+        ).result_for("case1")
+        fresh = ReproductionSession(
+            scale="smoke", processes=1, engine="fused"
+        ).result_for("case1")
+        assert batch.config["engine"] == "batch"
+        assert fused.config["engine"] == "fused"
+        assert fused.to_dict() == fresh.to_dict()
+        assert fused.to_dict() != batch.to_dict()
+        assert len(list(tmp_path.glob("case1_smoke_*.json"))) == 2
 
     def test_config_for(self):
         session = ReproductionSession(scale="smoke", seed=1, engine="reference")

@@ -1,59 +1,21 @@
-"""Unit tests for the deterministic shard scheduler.
+"""Unit tests for deterministic shard plans and sharded experiments.
 
 Two load-bearing properties: the plan is a pure function of
 ``(n_tasks, n_shards)``, and any shard count produces results identical to
-the unsharded run (the shard never enters the seed tree).
+the unsharded run (the shard never enters the seed tree).  Shards run as
+ordinary ``parallel_map`` tasks, so ordering, exceptions, progress and
+worker death of the scheduler itself are covered in ``tests/test_parallel.py``.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-from pathlib import Path
-
 import pytest
 
+from repro.experiments import checkpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.parallel.shard import Shard, plan_shards, sharded_map
-
-
-def square(x: int) -> int:
-    return x * x
-
-
-def boom(x: int) -> int:
-    if x == 2:
-        raise RuntimeError("shard 2 exploded")
-    return x
-
-
-def die_once_then_square(args: tuple[str, int]) -> int:
-    """SIGKILL the worker on item 3's first attempt; succeed on the retry."""
-    directory, x = args
-    if x == 3:
-        marker = Path(directory, "died")
-        if not marker.exists():
-            marker.touch()
-            os.kill(os.getpid(), signal.SIGKILL)
-    return x * x
-
-
-def slow_first_attempt(args: tuple[str, int]) -> int:
-    """Item 0 straggles on its first attempt only, so a speculative
-    duplicate (a fresh attempt that sees the marker) finishes instantly."""
-    directory, x = args
-    if x == 0:
-        marker = Path(directory, "attempt0")
-        try:
-            marker.touch(exist_ok=False)
-        except FileExistsError:
-            return 100  # the backup: skip the sleep
-        time.sleep(8.0)
-        return 100
-    time.sleep(0.05)
-    return x
+from repro.parallel.shard import Shard, plan_shards
+from repro.telemetry.config import TelemetryConfig
 
 
 class TestPlanShards:
@@ -95,81 +57,6 @@ class TestPlanShards:
             plan_shards(-1, 2)
         with pytest.raises(ValueError):
             plan_shards(4, 0)
-
-
-class TestShardedMap:
-    def test_empty(self):
-        assert sharded_map(square, []) == []
-
-    def test_serial_path(self):
-        assert sharded_map(square, [1, 2, 3], processes=1) == [1, 4, 9]
-
-    def test_parallel_preserves_order(self):
-        out = sharded_map(square, list(range(12)), processes=2)
-        assert out == [x * x for x in range(12)]
-
-    def test_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="shard 2"):
-            sharded_map(boom, [1, 2, 3], processes=2)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            sharded_map(square, [1], processes=0)
-        with pytest.raises(ValueError):
-            sharded_map(square, [1, 2], processes=2, max_redispatch=-1)
-        with pytest.raises(ValueError):
-            sharded_map(square, [1, 2], processes=2, straggler_factor=1.0)
-
-    def test_progress_callback(self):
-        calls = []
-        sharded_map(
-            square,
-            [1, 2, 3, 4],
-            processes=2,
-            progress=lambda d, t: calls.append((d, t)),
-        )
-        assert len(calls) == 4
-        assert calls[-1] == (4, 4)
-
-    def test_worker_death_propagates_without_redispatch(self, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
-        items = [(str(tmp_path), x) for x in range(6)]
-        # speculation off: a straggler duplicate of the dying shard could
-        # otherwise rescue the run before the broken pool surfaces
-        with pytest.raises(BrokenProcessPool):
-            sharded_map(
-                die_once_then_square,
-                items,
-                processes=2,
-                max_redispatch=0,
-                straggler_factor=None,
-            )
-
-    def test_worker_death_redispatch_recovers(self, tmp_path):
-        items = [(str(tmp_path), x) for x in range(6)]
-        out = sharded_map(
-            die_once_then_square, items, processes=2, max_redispatch=1
-        )
-        assert out == [x * x for x in range(6)]
-
-    def test_straggler_speculation_wins(self, tmp_path):
-        items = [(str(tmp_path), x) for x in range(4)]
-        start = time.perf_counter()
-        out = sharded_map(
-            slow_first_attempt, items, processes=2, straggler_factor=2.0
-        )
-        elapsed = time.perf_counter() - start
-        assert out == [100, 1, 2, 3]
-        # the 8s first attempt lost to the speculative duplicate
-        assert elapsed < 6.0
-        assert (tmp_path / "attempt0").exists()
-
-    def test_speculation_disabled(self):
-        out = sharded_map(
-            square, list(range(6)), processes=2, straggler_factor=None
-        )
-        assert out == [x * x for x in range(6)]
 
 
 class TestShardInvariance:
@@ -220,3 +107,51 @@ class TestShardInvariance:
             assert pc.get(key) == sc.get(key), key
         assert sc["shard.runs"] == 2
         assert sc["shard.replications"] == cfg.replications
+
+
+class TestShardedRun:
+    """Sharded runs through ``run_experiment``, end to end.
+
+    The worker-death test relies on crash injection, which kills a process
+    once it has written ``CRASH_AFTER`` checkpoints.  Three replications of
+    four generations (one checkpoint per generation) in two shards put 8
+    writes on shard 0 and 4 on shard 1, so the worker running shard 0
+    always dies.  After the pool is rebuilt, resumed replications need at
+    most 1 + 4 more writes, below the quota, so no fresh worker dies.  Both
+    shards are pool tasks (``processes=2``, two tasks), so the crash never
+    reaches the test process itself.
+    """
+
+    CONFIG = ExperimentConfig.for_case(
+        "case1", scale="smoke", replications=3, generations=4
+    )
+    CRASH_AFTER = 7
+
+    def test_progress_counts_completed_shards(self):
+        calls = []
+        run_experiment(
+            self.CONFIG.with_(generations=1),
+            processes=2,
+            shards=2,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert sorted(calls) == [(1, 2), (2, 2)]
+
+    def test_sharded_run_survives_worker_death(self, tmp_path, monkeypatch):
+        control = run_experiment(self.CONFIG, processes=2)
+        assert len(plan_shards(self.CONFIG.replications, 2)) == 2
+        monkeypatch.setattr(checkpoint, "_checkpoints_written", 0)
+        monkeypatch.setenv(checkpoint.CRASH_ENV, str(self.CRASH_AFTER))
+        crashed = run_experiment(
+            self.CONFIG.with_(telemetry=TelemetryConfig(enabled=True)),
+            processes=2,
+            shards=2,
+            checkpoint_dir=tmp_path,
+        )
+        assert crashed.replications == control.replications
+        counters = crashed.telemetry["metrics"]["counters"]
+        assert counters["parallel.pool_rebuilds"] == 1
+        assert any(
+            rep.checkpoint["resumed_from_generation"] is not None
+            for rep in crashed.replications
+        )
